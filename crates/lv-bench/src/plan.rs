@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use lv_conv::{Algo, ALL_ALGOS};
-use lv_models::{BackendKind, CellMetrics};
+use lv_models::{BackendKind, CellMetrics, SimBackend};
 use lv_sim::{fnv1a, MachineConfig, TrackId, VpuStyle, MIB};
 use lv_tensor::ConvShape;
 use rayon::prelude::*;
@@ -633,10 +633,23 @@ impl Executor {
             let verbose = self.opts.verbose;
             let id = plan.id().to_string();
             let sim = backend.backend();
+            let traced = ctx.tracer.is_enabled();
+            if traced {
+                for w in 1..rayon::current_num_threads() {
+                    ctx.tracer.name_track(
+                        TrackId::new(PID_HARNESS, w as u64),
+                        &format!("cell-worker-{w}"),
+                    );
+                }
+            }
             let fresh: Vec<(u64, CellMetrics)> = missing
                 .into_par_iter()
                 .filter_map(|(k, c)| {
-                    let m = sim.measure(&c.cfg, &c.shape, c.algo)?;
+                    let m = if traced {
+                        traced_measure(ctx, &c, sim)
+                    } else {
+                        sim.measure(&c.cfg, &c.shape, c.algo)
+                    }?;
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if verbose && n % 32 == 0 {
                         eprintln!("[plan {id}] {n}/{total} cells simulated");
@@ -724,6 +737,31 @@ impl Executor {
             .map_err(BenchError::io("append to cell cache", &self.cache_path))?;
         Ok(())
     }
+}
+
+/// Simulate one cell inside a host-clock span `cell:<algo>` on the
+/// calling worker's harness track (worker 0 shares the plan span's track,
+/// so its cells nest under it). The span carries the design point, the
+/// tier, the host microseconds spent and the simulated cycles.
+fn traced_measure(ctx: &TraceCtx, c: &Cell, sim: &dyn SimBackend) -> Option<CellMetrics> {
+    let worker = rayon::current_thread_index().unwrap_or(0) as u64;
+    let track = TrackId::new(PID_HARNESS, worker);
+    let start = ctx.now_us();
+    let span = ctx.tracer.begin(track, &format!("cell:{}", c.algo.name()), start);
+    let m = sim.measure(&c.cfg, &c.shape, c.algo);
+    let end = ctx.now_us();
+    let mut args: lv_trace::Args = vec![
+        ("algo".to_string(), c.algo.name().into()),
+        ("vlen".to_string(), c.cfg.vlen_bits.into()),
+        ("l2_mib".to_string(), (c.cfg.l2.size_bytes / MIB).into()),
+        ("backend".to_string(), sim.name().into()),
+        ("host_us".to_string(), (end - start).into()),
+    ];
+    if let Some(m) = &m {
+        args.push((lv_trace::keys::CYCLES.to_string(), m.cycles.into()));
+    }
+    ctx.tracer.end_args(span, end, args);
+    m
 }
 
 // ------------------------------------------------------- cache encoding

@@ -204,3 +204,28 @@ fn force_resimulates_each_unique_cell_once_per_process() {
     assert_eq!(second.simulated, 0);
     assert_eq!(second.hit, second.unique);
 }
+
+#[test]
+fn traced_run_opens_one_span_per_simulated_cell() {
+    let dir = temp_cache_dir("spans");
+    let plan = tiny_plan();
+    let exec = Executor::new(opts(&dir));
+    let ctx = TraceCtx::enabled();
+    let cold = exec.run(&plan, &ctx).expect("cold run").report;
+    let spans = ctx.tracer.snapshot_spans();
+    let cells: Vec<_> = spans.iter().filter(|s| s.name.starts_with("cell:")).collect();
+    assert_eq!(cells.len(), cold.simulated, "one span per simulated cell, not per row");
+    for s in &cells {
+        for key in ["algo", "vlen", "l2_mib", "backend", "host_us", "cycles"] {
+            assert!(s.arg(key).is_some(), "{} lacks {key}", s.name);
+        }
+        assert_eq!(s.arg("backend").and_then(lv_trace::ArgValue::as_str), Some("cycle"));
+        assert_eq!(s.arg("host_us").and_then(lv_trace::ArgValue::as_f64), Some(s.dur_us()));
+    }
+
+    // A warm rerun simulates nothing and so opens no cell spans.
+    let warm = exec.run(&plan, &ctx).expect("warm run").report;
+    assert_eq!(warm.simulated, 0);
+    let after = ctx.tracer.snapshot_spans();
+    assert_eq!(after.iter().filter(|s| s.name.starts_with("cell:")).count(), cells.len());
+}

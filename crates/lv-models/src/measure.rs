@@ -38,6 +38,10 @@ impl LayerMeasurement {
 /// Measure one layer with one algorithm on one hardware design point.
 /// Returns `None` when the algorithm does not apply to the layer (the
 /// per-layer comparison figures leave those bars out).
+///
+/// The kernel runs on a [`Machine::timing_only`] machine: only [`Stats`]
+/// are kept, and the conv kernels' control flow and addresses do not
+/// depend on data, so skipping the f32 lanes leaves every counter exact.
 pub fn measure_layer(cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<LayerMeasurement> {
     if !algo.applicable(s) {
         return None;
@@ -46,7 +50,7 @@ pub fn measure_layer(cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<L
     let w = pseudo_weights(s.weight_len(), s.ic * s.kh * s.kw, 102);
     let prepared = prepare_weights(algo, s, &w);
     let mut out = vec![0.0f32; s.output_len()];
-    let mut m = Machine::new(*cfg);
+    let mut m = Machine::timing_only(*cfg);
     run_conv(&mut m, algo, s, &input, &prepared, &mut out);
     let stats = m.stats();
     Some(LayerMeasurement {

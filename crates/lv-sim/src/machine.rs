@@ -3,13 +3,25 @@
 //! Kernels are written against this type exactly like intrinsics code: they
 //! request a vector length with [`Machine::vsetvl`], move data between host
 //! slices and the 32-entry vector register file, and issue arithmetic on
-//! registers. Every operation simultaneously
+//! registers. Every operation
 //!
-//! 1. **computes** the real f32 result (so kernels are functionally testable
-//!    against golden references), and
-//! 2. **advances the cycle model**: issue + startup + `ceil(vl / elems-per-
+//! 1. **advances the cycle model**: issue + startup + `ceil(vl / elems-per-
 //!    cycle)` beats for arithmetic, plus per-cache-line costs for memory
-//!    operations routed through a real set-associative L1/L2 hierarchy.
+//!    operations routed through a real set-associative L1/L2 hierarchy; and
+//! 2. on a machine built with [`Machine::new`], also **computes** the real
+//!    f32 result, so kernels are functionally testable against golden
+//!    references.
+//!
+//! A machine built with [`Machine::timing_only`] runs step 1 exactly as
+//! above but moves no f32 lanes: register copies, arithmetic loops,
+//! strided/segment/gather moves, transposes and stores into host slices
+//! are skipped, and destination slices are left untouched. Sweep cells
+//! (`lv_models::measure_layer`) use it because they keep only [`Stats`].
+//! The result is exact, not approximate: the conv kernels' control flow
+//! and addresses never depend on data, every kernel-contract assertion
+//! (aliasing, slice bounds, segment shapes) still runs, and both modes
+//! allocate the same buffers, so the cache model sees the same address
+//! stream and every counter comes out identical.
 //!
 //! Host slice addresses double as simulated physical addresses, so cache
 //! behaviour reflects the kernels' true access patterns and footprints.
@@ -38,9 +50,19 @@ pub struct Machine {
     l1: Cache,
     l2: Cache,
     stats: Stats,
-    /// Line-address memo for the last touched line, to dedup per-element
-    /// touches in strided/gather accesses.
+    /// Vector elements retired per cycle per instruction.
     epc: u64,
+    /// Whether operations move f32 lanes ([`Machine::new`]) or only
+    /// advance the timing model ([`Machine::timing_only`]).
+    compute: bool,
+    /// Lanes the data paths touch: `vl` when computing, 0 when timing-only,
+    /// so register views are empty and the lane loops run zero times.
+    lanes: usize,
+    /// `ceil(vl / epc)`: beats of one arithmetic pass, set with `vl`.
+    beats: u64,
+    /// `ceil(vl / gather_elems_per_cycle)`: extra beats of one strided,
+    /// segment or gather access, set with `vl`.
+    gather_beats: u64,
     /// Optional L2 access trace: `(cycle, line)` per L2 access, for the
     /// shared-cache contention replay (`lv-serving`).
     l2_trace: Option<Vec<(u64, u64)>>,
@@ -72,22 +94,44 @@ impl Machine {
     pub fn try_new(cfg: MachineConfig) -> Result<Self, crate::ConfigError> {
         cfg.validate()?;
         let mvl = cfg.vlen_elems();
-        Ok(Self {
+        let mut m = Self {
             mvl,
-            vl: mvl,
+            vl: 0,
             vregs: vec![0.0; NUM_VREGS * mvl].into_boxed_slice(),
             scratch: vec![0.0; 8 * mvl].into_boxed_slice(),
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
             stats: Stats::default(),
             epc: cfg.elems_per_cycle() as u64,
+            compute: true,
+            lanes: 0,
+            beats: 0,
+            gather_beats: 0,
             l2_trace: None,
             tracer: Tracer::disabled(),
             trace_track: TrackId::new(1, 0),
             region_stack: Vec::new(),
             lint: None,
             cfg,
-        })
+        };
+        m.set_vl(mvl);
+        Ok(m)
+    }
+
+    /// Build a machine that advances the timing model exactly like
+    /// [`Machine::new`] but computes no f32 lanes: loads leave registers
+    /// as they were, stores leave destination slices untouched, and
+    /// [`Machine::vredsum`] / [`Machine::read_reg`] see empty registers.
+    /// For callers that keep only [`Stats`] from kernels whose control
+    /// flow and addresses do not depend on data; [`Stats`], lint checks
+    /// and traced regions are identical to a computing run, and every
+    /// kernel-contract assertion still fires. Panics on an invalid
+    /// config like [`Machine::new`].
+    pub fn timing_only(cfg: MachineConfig) -> Self {
+        let mut m = Self::new(cfg);
+        m.compute = false;
+        m.set_vl(m.vl);
+        m
     }
 
     // ---------------------------------------------------------------- lint
@@ -246,7 +290,7 @@ impl Machine {
         self.stats = Stats::default();
         self.l1.reset();
         self.l2.reset();
-        self.vl = self.mvl;
+        self.set_vl(self.mvl);
         if let Some(l) = self.lint.as_deref_mut() {
             l.on_reset();
         }
@@ -258,7 +302,7 @@ impl Machine {
     #[inline]
     pub fn vsetvl(&mut self, avl: usize) -> usize {
         debug_assert!(avl > 0, "vsetvl with zero avl");
-        self.vl = avl.min(self.mvl);
+        self.set_vl(avl.min(self.mvl));
         self.stats.cycles += self.cfg.cost.vsetvl;
         self.stats.vsetvls += 1;
         if let Some(l) = self.lint.as_deref_mut() {
@@ -268,16 +312,26 @@ impl Machine {
         self.vl
     }
 
+    /// Grant `vl` and derive everything the per-instruction paths read
+    /// from it, so no instruction divides.
+    #[inline]
+    fn set_vl(&mut self, vl: usize) {
+        self.vl = vl;
+        self.lanes = if self.compute { vl } else { 0 };
+        self.beats = (vl as u64).div_ceil(self.epc);
+        self.gather_beats = (vl as u64).div_ceil(self.cfg.cost.gather_elems_per_cycle.max(1));
+    }
+
     #[inline]
     fn reg(&self, r: VReg) -> &[f32] {
         let base = r.0 as usize * self.mvl;
-        &self.vregs[base..base + self.vl]
+        &self.vregs[base..base + self.lanes]
     }
 
     #[inline]
     fn reg_mut(&mut self, r: VReg) -> &mut [f32] {
         let base = r.0 as usize * self.mvl;
-        &mut self.vregs[base..base + self.vl]
+        &mut self.vregs[base..base + self.lanes]
     }
 
     /// Split the register file into one mutable destination and up to two
@@ -287,17 +341,17 @@ impl Machine {
     #[inline]
     fn reg_dss(&mut self, d: VReg, a: VReg, b: VReg) -> (&mut [f32], &[f32], &[f32]) {
         assert!(d != a && d != b, "destination register aliases a source");
-        let vl = self.vl;
+        let lanes = self.lanes;
         let mvl = self.mvl;
         let ptr = self.vregs.as_mut_ptr();
         // SAFETY: d, a, b index disjoint mvl-sized segments of `vregs`
         // (d != a, d != b asserted above; a == b is fine for shared refs),
-        // and vl <= mvl so the slices stay inside their segments.
+        // and lanes <= vl <= mvl so the slices stay inside their segments.
         unsafe {
             (
-                std::slice::from_raw_parts_mut(ptr.add(d.0 as usize * mvl), vl),
-                std::slice::from_raw_parts(ptr.add(a.0 as usize * mvl), vl),
-                std::slice::from_raw_parts(ptr.add(b.0 as usize * mvl), vl),
+                std::slice::from_raw_parts_mut(ptr.add(d.0 as usize * mvl), lanes),
+                std::slice::from_raw_parts(ptr.add(a.0 as usize * mvl), lanes),
+                std::slice::from_raw_parts(ptr.add(b.0 as usize * mvl), lanes),
             )
         }
     }
@@ -306,9 +360,8 @@ impl Machine {
 
     #[inline]
     fn arith_cost(&mut self, n_instr: u64) {
-        let beats = (self.vl as u64).div_ceil(self.epc);
         let c = &self.cfg.cost;
-        self.stats.cycles += n_instr * (c.issue + c.arith_startup + beats);
+        self.stats.cycles += n_instr * (c.issue + c.arith_startup + self.beats);
         self.stats.vector_instrs += n_instr;
         self.stats.vector_elems += n_instr * self.vl as u64;
     }
@@ -391,8 +444,9 @@ impl Machine {
         assert!(src.len() >= vl, "vle32 source too short: {} < {}", src.len(), vl);
         self.mem_instr_base();
         let cost = self.touch_range(src.as_ptr() as usize, vl * 4);
-        self.stats.cycles += cost.max((vl as u64).div_ceil(self.epc));
-        self.reg_mut(vd).copy_from_slice(&src[..vl]);
+        self.stats.cycles += cost.max(self.beats);
+        let lanes = self.lanes;
+        self.reg_mut(vd).copy_from_slice(&src[..lanes]);
         self.lint_write(vd);
         self.lint_tick();
     }
@@ -405,9 +459,9 @@ impl Machine {
         self.lint_read(vs, "vse32");
         self.mem_instr_base();
         let cost = self.touch_range(dst.as_ptr() as usize, vl * 4);
-        self.stats.cycles += cost.max((vl as u64).div_ceil(self.epc));
-        let base = vs.0 as usize * self.mvl;
-        dst[..vl].copy_from_slice(&self.vregs[base..base + vl]);
+        self.stats.cycles += cost.max(self.beats);
+        let lanes = self.lanes;
+        dst[..lanes].copy_from_slice(self.reg(vs));
         self.lint_tick();
     }
 
@@ -415,8 +469,7 @@ impl Machine {
 
     #[inline]
     fn gather_extra(&mut self) {
-        let g = self.cfg.cost.gather_elems_per_cycle.max(1);
-        self.stats.cycles += (self.vl as u64).div_ceil(g);
+        self.stats.cycles += self.gather_beats;
     }
 
     /// `vlse32.v`: strided load, element `i` comes from `src[i * stride]`.
@@ -437,9 +490,7 @@ impl Machine {
             }
         }
         self.stats.cycles += cost;
-        let mvl = self.mvl;
-        let regs = &mut self.vregs[vd.0 as usize * mvl..vd.0 as usize * mvl + vl];
-        for (i, r) in regs.iter_mut().enumerate() {
+        for (i, r) in self.reg_mut(vd).iter_mut().enumerate() {
             *r = src[i * stride];
         }
         self.lint_write(vd);
@@ -465,9 +516,8 @@ impl Machine {
             }
         }
         self.stats.cycles += cost;
-        let base = vs.0 as usize * self.mvl;
-        for i in 0..vl {
-            dst[i * stride] = self.vregs[base + i];
+        for (i, &r) in self.reg(vs).iter().enumerate() {
+            dst[i * stride] = r;
         }
         self.lint_tick();
     }
@@ -507,11 +557,9 @@ impl Machine {
             }
         }
         self.stats.cycles += cost;
-        let mvl = self.mvl;
-        let regs = &mut self.vregs[vd.0 as usize * mvl..vd.0 as usize * mvl + vl];
-        for s in 0..nsegs {
+        for (s, seg) in self.reg_mut(vd).chunks_exact_mut(seg_len).enumerate() {
             let off = s * seg_stride;
-            regs[s * seg_len..(s + 1) * seg_len].copy_from_slice(&src[off..off + seg_len]);
+            seg.copy_from_slice(&src[off..off + seg_len]);
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -548,11 +596,9 @@ impl Machine {
             }
         }
         self.stats.cycles += cost;
-        let base = vs.0 as usize * self.mvl;
-        for s in 0..nsegs {
+        for (s, seg) in self.reg(vs).chunks_exact(seg_len).enumerate() {
             let off = s * seg_stride;
-            dst[off..off + seg_len]
-                .copy_from_slice(&self.vregs[base + s * seg_len..base + (s + 1) * seg_len]);
+            dst[off..off + seg_len].copy_from_slice(seg);
         }
         self.lint_tick();
     }
@@ -596,12 +642,9 @@ impl Machine {
             }
         }
         self.stats.cycles += cost;
-        let base = vs.0 as usize * self.mvl;
-        for s in 0..nsegs {
+        for (s, block) in self.reg(vs).chunks_exact(seg_block).enumerate() {
             let off = s * seg_stride;
-            dst[off..off + seg_valid].copy_from_slice(
-                &self.vregs[base + s * seg_block..base + s * seg_block + seg_valid],
-            );
+            dst[off..off + seg_valid].copy_from_slice(&block[..seg_valid]);
         }
         self.lint_tick();
     }
@@ -629,11 +672,8 @@ impl Machine {
             }
         }
         self.stats.cycles += cost;
-        let mvl = self.mvl;
-        let regs = &mut self.vregs[vd.0 as usize * mvl..vd.0 as usize * mvl + vl];
-        for p in 0..npix {
-            let v = src[p * stride];
-            regs[p * repeat..(p + 1) * repeat].fill(v);
+        for (p, run) in self.reg_mut(vd).chunks_exact_mut(repeat).enumerate() {
+            run.fill(src[p * stride]);
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -850,9 +890,8 @@ impl Machine {
     pub fn vredsum(&mut self, vs: VReg) -> f32 {
         self.lint_read(vs, "vfredsum");
         let c = &self.cfg.cost;
-        let beats = (self.vl as u64).div_ceil(self.epc);
         let tree = (self.epc as f64).log2().ceil() as u64;
-        self.stats.cycles += c.issue + c.arith_startup + beats + tree;
+        self.stats.cycles += c.issue + c.arith_startup + self.beats + tree;
         self.stats.vector_instrs += 1;
         self.stats.vector_elems += self.vl as u64;
         self.stats.flops += self.vl as u64;
@@ -884,12 +923,11 @@ impl Machine {
         }
         let permutes = (3 * n) as u64;
         let c = &self.cfg.cost;
-        let beats = (vl as u64).div_ceil(self.epc);
-        self.stats.cycles += permutes * (c.issue + beats);
+        self.stats.cycles += permutes * (c.issue + self.beats);
         self.stats.vector_instrs += permutes;
         self.stats.vector_elems += permutes * vl as u64;
         let mvl = self.mvl;
-        let nblocks = vl / n;
+        let nblocks = self.lanes / n;
         // Gather into scratch, transposed, then write back.
         for blk in 0..nblocks {
             for (r, reg) in regs.iter().enumerate() {
@@ -980,7 +1018,10 @@ impl Machine {
         };
         self.stats.cycles += c.scalar_op + cost;
         self.stats.scalar_ops += 1;
-        dst[idx] = v;
+        let slot = &mut dst[idx];
+        if self.compute {
+            *slot = v;
+        }
         self.lint_tick();
     }
 
@@ -1030,7 +1071,8 @@ impl Machine {
         }
     }
 
-    /// Direct read access to a register's live elements (for tests).
+    /// Direct read access to a register's live elements (for tests); empty
+    /// on a [`Machine::timing_only`] machine.
     pub fn read_reg(&self, r: VReg) -> &[f32] {
         self.reg(r)
     }
@@ -1310,6 +1352,71 @@ mod tests {
         let mut m = mk(512);
         m.vsetvl(4);
         m.vfmacc_vv(VReg(1), VReg(1), VReg(2));
+    }
+
+    // ---------------------------------------------------- timing-only
+
+    fn mk_timing(vlen: usize) -> Machine {
+        Machine::timing_only(MachineConfig::rvv_integrated(vlen, 1))
+    }
+
+    #[test]
+    #[should_panic(expected = "aliases")]
+    fn timing_only_keeps_aliasing_check() {
+        let mut m = mk_timing(512);
+        m.vsetvl(4);
+        m.vfmacc_vv(VReg(1), VReg(1), VReg(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "vle32 source too short")]
+    fn timing_only_keeps_vle32_length_check() {
+        let mut m = mk_timing(512);
+        m.vsetvl(16);
+        m.vle32(VReg(0), &[0.0f32; 15]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vlse32 out of bounds")]
+    fn timing_only_keeps_vlse32_bounds_check() {
+        let mut m = mk_timing(512);
+        m.vsetvl(8);
+        m.vlse32(VReg(0), &[0.0f32; 28], 4); // lane 7 reads index 28
+    }
+
+    #[test]
+    #[should_panic(expected = "vload_seg: vl != nsegs * seg_len")]
+    fn timing_only_keeps_vload_seg_shape_check() {
+        let mut m = mk_timing(512);
+        m.vsetvl(8);
+        m.vload_seg(VReg(0), &[0.0f32; 16], 3, 4, 2);
+    }
+
+    #[test]
+    fn timing_only_runs_lint() {
+        let mut m = mk_timing(512);
+        m.enable_lint();
+        axpy(&mut m);
+        assert!(m.lint().unwrap().checks() > 0, "lint must run on a timing-only machine");
+    }
+
+    #[test]
+    fn timing_only_stores_leave_destination_untouched() {
+        let mut m = mk_timing(512);
+        let src: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let mut dst = vec![-1.0f32; 64];
+        m.vsetvl(16);
+        m.vle32(VReg(0), &src);
+        m.vfmul_vf(VReg(1), 2.0, VReg(0));
+        m.vse32(VReg(1), &mut dst);
+        m.vsse32(VReg(1), &mut dst, 4);
+        m.vstore_seg(VReg(1), &mut dst, 4, 8, 4);
+        m.vstore_seg_partial(VReg(1), &mut dst, 3, 4, 8, 4);
+        m.scalar_store(&mut dst, 5, 7.0);
+        assert!(dst.iter().all(|&x| x == -1.0), "timing-only machines produce no outputs");
+        assert!(m.read_reg(VReg(1)).is_empty());
+        assert_eq!(m.vredsum(VReg(1)), 0.0);
+        assert!(m.cycles() > 0 && m.stats().vector_instrs == 7);
     }
 
     // ------------------------------------------------------------ lint
