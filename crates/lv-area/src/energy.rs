@@ -15,10 +15,9 @@
 //! with the cycle model.
 
 use lv_sim::Stats;
-use serde::{Deserialize, Serialize};
 
 /// Per-event energy parameters (picojoules).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnergyParams {
     /// Energy per f32 FLOP in the vector unit.
     pub pj_per_flop: f64,
@@ -53,7 +52,7 @@ impl Default for EnergyParams {
 }
 
 /// Energy breakdown of one run, in joules.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnergyBreakdown {
     /// Vector + scalar compute energy.
     pub compute_j: f64,

@@ -19,8 +19,6 @@
 
 pub mod energy;
 
-use serde::{Deserialize, Serialize};
-
 /// L2 SRAM area per MiB at 7 nm (PCacti-calibrated, see crate docs).
 pub const L2_MM2_PER_MIB: f64 = 0.47;
 
@@ -73,7 +71,7 @@ pub fn chip_area_mm2(cores: usize, vlen_bits: usize, l2_mib: usize) -> f64 {
 
 /// A design point for Pareto analysis: smaller `area` and smaller `cost`
 /// (cycles, or 1/throughput) are both better.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// Label shown in reports (e.g. "2048b x 1MB, optimal").
     pub label: String,

@@ -33,8 +33,9 @@
 //! with the simulator invariant lint enabled), writes the PASS/FAIL table
 //! to `results/check.txt`, and exits non-zero on any violation.
 //!
-//! `serve` runs the saturation sweep of the serving engine (bounded
-//! queue, dynamic batching, selector-driven service times) and writes
+//! `serve` runs the saturation sweep of one serving chip, a one-node
+//! fleet (bounded queue, dynamic batching, selector-driven service
+//! times), and writes
 //! `results/serve.txt` / `results/serve.csv`. `fleet` simulates a
 //! cluster of heterogeneous Pareto-point chips behind a router
 //! (round-robin / JSQ / power-of-two / model-affinity, SLO admission,

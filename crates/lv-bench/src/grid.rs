@@ -12,10 +12,9 @@ use lv_models::{measure_layer, zoo};
 use lv_sim::{MachineConfig, VpuStyle};
 use lv_tensor::ConvShape;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One measured grid point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridRow {
     /// Model the layer comes from ("vgg16" / "yolov3-20").
     pub model: String,

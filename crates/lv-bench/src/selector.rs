@@ -9,7 +9,6 @@ use lv_forest::{
     baseline_accuracies, cross_validate, CvReport, Dataset, ForestParams, RandomForest,
 };
 use lv_tensor::ConvShape;
-use serde::{Deserialize, Serialize};
 
 use crate::grid::{find, GridRow, P2_L2S, P2_VLENS};
 
@@ -45,7 +44,7 @@ pub fn features_of(s: &ConvShape, vlen_bits: usize, l2_mib: usize) -> Vec<f64> {
 }
 
 /// Key identifying a dataset row.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PointKey {
     /// Model name.
     pub model: String,
@@ -91,7 +90,7 @@ pub fn dataset_from_grid(rows: &[GridRow]) -> (Dataset, Vec<PointKey>) {
 }
 
 /// Full evaluation of the selector, mirroring the paper's §4.3 numbers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SelectorEval {
     /// 5-fold cross-validation report (paper: 92.8% mean accuracy).
     pub cv: CvReport,

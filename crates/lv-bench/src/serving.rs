@@ -1,13 +1,15 @@
-//! The `serve` artifact: a saturation sweep of the `lv-serving` engine
-//! with selector-driven service times.
+//! The `serve` artifact: a saturation sweep of one serving chip with
+//! selector-driven service times.
 //!
 //! This closes the loop the paper motivates but never simulates end to
 //! end: per-layer cycle measurements (the grid) feed the random-forest
 //! algorithm selector, whose per-layer picks determine each model's
 //! network forward-pass time on a concrete chip configuration; those
-//! times become the request classes of a multi-replica serving engine
-//! with a bounded admission queue and dynamic batching. Sweeping offered
-//! load from well below to well past saturation shows
+//! times become the per-class service times of a multi-replica chip with
+//! a bounded admission queue and dynamic batching, run as a one-node
+//! `lv-fleet` simulation (round-robin, no faults, no admission control,
+//! unmodulated Poisson arrivals). Sweeping offered load from well below
+//! to well past saturation shows
 //!
 //! * below capacity: drop rate ≈ 0 and p50 ≈ the forward-pass time,
 //! * past capacity: the bounded queue sheds load and p99 stays finite,
@@ -18,7 +20,8 @@
 use std::fmt::Write as _;
 
 use lv_conv::Algo;
-use lv_serving::{partition_l2, BatchPolicy, EngineConfig, RequestClass, ServingEngine};
+use lv_fleet::{ChipSpec, FleetConfig, FleetReport, FleetSim, Policy, WorkloadSpec};
+use lv_serving::{partition_l2, BatchPolicy};
 
 use crate::chart::table;
 use crate::grid::{policy_cycles, results_dir, table1_layers, GridRow, P2_L2S};
@@ -99,45 +102,52 @@ struct SweepPoint {
     max_depth: usize,
 }
 
-fn run_policy(
-    classes: Vec<RequestClass>,
-    offered_rps: f64,
-    batch: BatchPolicy,
-    setup_frac: f64,
-    seed: u64,
-) -> lv_serving::EngineReport {
-    let cfg = EngineConfig {
-        replicas: REPLICAS,
-        classes,
-        arrival_rate: offered_rps,
-        requests: REQUESTS,
-        queue_capacity: QUEUE_CAP,
-        deadline_s: None,
-        batch,
-        batch_setup_frac: setup_frac,
-        seed,
-        slice_s: 0.0,
-    };
-    ServingEngine::new(cfg).expect("sweep config is valid").run()
-}
-
 /// How a selection policy reads its per-model service time.
 type Pick = fn(&ModelService) -> f64;
 
-fn classes_for(services: &[ModelService], pick: Pick) -> Vec<RequestClass> {
-    services
-        .iter()
-        .map(|s| RequestClass { name: s.model.clone(), unit_cost_s: pick(s), weight: 1.0 })
-        .collect()
+/// The serving chip as a one-node fleet: `pick`'s service time per model
+/// class, round-robin routing, a uniform class mix of unmodulated Poisson
+/// arrivals, and the fleet's usual SLO of 8x the mean service time.
+fn one_node(
+    services: &[ModelService],
+    pick: Pick,
+    offered_rps: f64,
+    requests: usize,
+    seed: u64,
+) -> FleetConfig {
+    let service_s: Vec<f64> = services.iter().map(pick).collect();
+    let classes = service_s.len();
+    let slo_s = 8.0 * service_s.iter().sum::<f64>() / classes as f64;
+    let chip = ChipSpec {
+        name: "serve".into(),
+        vlen_bits: VLEN_BITS,
+        l2_mib: SHARED_L2_MIB,
+        replicas: REPLICAS,
+        service_s,
+        degraded_service_s: None,
+    };
+    FleetConfig {
+        queue_capacity: QUEUE_CAP,
+        ..FleetConfig::basic(
+            vec![chip],
+            Policy::RoundRobin,
+            WorkloadSpec::basic(offered_rps, requests, classes, seed),
+            slo_s,
+        )
+    }
+}
+
+fn run(cfg: FleetConfig) -> FleetReport {
+    FleetSim::new(cfg).expect("serve config is valid").run()
 }
 
 /// Build the `serve` report (and `results/serve.csv`) from grid rows.
-/// When `ctx` is recording, one extra short engine run (Optimal mix at
+/// When `ctx` is recording, one extra short run (Optimal mix at
 /// 1.3x capacity, dynamic batching, deadline shedding) emits its request
 /// lifecycle into the trace; the sweep itself stays untraced so the
 /// reported numbers are identical with and without `--trace`. `seed`
-/// (default 42 = the historical hardcoded base) offsets every engine
-/// run's arrival stream, so `repro serve --seed N` resamples the whole
+/// (default 42 = the historical hardcoded base) offsets every run's
+/// arrival stream, so `repro serve --seed N` resamples the whole
 /// sweep.
 pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> String {
     let eval = evaluate_selector(rows, tuned_params());
@@ -146,7 +156,7 @@ pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> String {
     let services = model_services(rows, &eval, l2_mib);
 
     let mut out = format!(
-        "serve: saturation sweep of the multi-replica serving engine\n\
+        "serve: saturation sweep of one multi-replica serving chip\n\
          chip: {REPLICAS} replicas x {VLEN_BITS}b vectors, {SHARED_L2_MIB} MiB shared L2 \
          -> {l2_mib} MiB per replica (CAT partitioning)\n\
          queue capacity {QUEUE_CAP}, open-loop Poisson arrivals, {REQUESTS} requests per point\n\n\
@@ -183,25 +193,18 @@ pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> String {
     );
     let mut capacities = Vec::new();
     for (pi, &(name, pick)) in policies.iter().enumerate() {
-        let classes = classes_for(&services, pick);
         let mut points = Vec::new();
         for (fi, frac) in fracs.iter().enumerate() {
-            let offered = frac * direct_cap;
-            let rep = run_policy(
-                classes.clone(),
-                offered,
-                BatchPolicy::none(),
-                0.0,
-                seed + (pi * fracs.len() + fi) as u64,
-            );
+            let seed = seed + (pi * fracs.len() + fi) as u64;
+            let rep = run(one_node(&services, pick, frac * direct_cap, REQUESTS, seed));
             points.push(SweepPoint {
                 offered_rps: rep.offered_rps,
                 achieved_rps: rep.achieved_rps,
                 p50_ms: rep.latency.p50_s * 1e3,
                 p99_ms: rep.latency.p99_s * 1e3,
                 drop_rate: rep.drop_rate,
-                utilization: rep.utilization,
-                max_depth: rep.max_queue_depth,
+                utilization: rep.nodes[0].utilization,
+                max_depth: rep.nodes[0].max_queue_depth,
             });
         }
         let _ = writeln!(
@@ -272,17 +275,15 @@ pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> String {
     let mut brows = Vec::new();
     for (bi, &b) in [1usize, 2, 4, 8].iter().enumerate() {
         let wait = if b == 1 { 0.0 } else { mean(|s| s.optimal_s) };
-        let classes = classes_for(&services, |s| s.optimal_s);
-        let rep = run_policy(
-            classes,
-            1.5 * opt_cap,
-            BatchPolicy::new(b, wait),
-            setup_frac,
-            seed + 1000 + bi as u64,
-        );
+        let rep = run(FleetConfig {
+            batch: BatchPolicy::new(b, wait),
+            batch_setup_frac: setup_frac,
+            ..one_node(&services, |s| s.optimal_s, 1.5 * opt_cap, REQUESTS, seed + 1000 + bi as u64)
+        });
+        let node = &rep.nodes[0];
         brows.push(vec![
             format!("{b}"),
-            format!("{:.2}", rep.mean_batch_size),
+            format!("{:.2}", node.mean_batch_size),
             format!("{:.1}", rep.achieved_rps),
             format!("{:.1}", rep.latency.p99_s * 1e3),
             format!("{:.1}%", 100.0 * rep.drop_rate),
@@ -295,8 +296,8 @@ pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> String {
             rep.latency.p50_s * 1e3,
             rep.latency.p99_s * 1e3,
             rep.drop_rate,
-            rep.utilization,
-            rep.max_queue_depth
+            node.utilization,
+            node.max_queue_depth
         );
     }
     out.push_str(&table(&["max batch", "mean batch", "achieved", "p99 ms", "drops"], &brows));
@@ -307,21 +308,13 @@ pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> String {
     // enough (1.3x capacity, tight deadline) to exercise every lifecycle
     // event — admit, queue, batch, execute, and both drop reasons.
     if ctx.tracer.is_enabled() {
-        let cfg = EngineConfig {
-            replicas: REPLICAS,
-            classes: classes_for(&services, |s| s.optimal_s),
-            arrival_rate: 1.3 * opt_cap,
-            requests: 300,
-            queue_capacity: QUEUE_CAP,
+        let cfg = FleetConfig {
             deadline_s: Some(8.0 * mean(|s| s.optimal_s)),
             batch: BatchPolicy::new(4, mean(|s| s.optimal_s)),
             batch_setup_frac: setup_frac,
-            seed: seed.wrapping_add(7),
-            slice_s: 0.0,
+            ..one_node(&services, |s| s.optimal_s, 1.3 * opt_cap, 300, seed.wrapping_add(7))
         };
-        ServingEngine::new(cfg)
-            .expect("traced config is valid")
-            .run_traced(&ctx.tracer, PID_SERVING);
+        FleetSim::new(cfg).expect("traced config is valid").run_traced(&ctx.tracer, PID_SERVING);
     }
     out
 }

@@ -8,7 +8,7 @@
 //!
 //! * pid 0 — the harness itself, wall-clock microseconds;
 //! * pid 1 — simulated machines, 1 trace-µs ≡ 1 cycle (exact);
-//! * pid 2 — the serving engine, simulated seconds × 1e6;
+//! * pid 2 — the `serve` artifact's one-node fleet, simulated seconds × 1e6;
 //! * pid 3 — the fleet simulator, simulated seconds × 1e6.
 
 use std::path::Path;
@@ -25,7 +25,7 @@ use crate::grid::{self, results_dir, GridRow};
 pub const PID_HARNESS: u64 = 0;
 /// Chrome-trace process id of simulated machines (cycle-clock spans).
 pub const PID_MACHINE: u64 = 1;
-/// Chrome-trace process id of the serving engine (second-clock events).
+/// Chrome-trace process id of the `serve` one-node fleet (second-clock events).
 pub const PID_SERVING: u64 = 2;
 /// Chrome-trace process id of the fleet simulator (second-clock events).
 pub const PID_FLEET: u64 = 3;

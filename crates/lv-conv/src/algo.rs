@@ -3,7 +3,6 @@
 
 use lv_sim::Machine;
 use lv_tensor::{AlignedVec, ConvShape};
-use serde::{Deserialize, Serialize};
 
 use crate::direct::{self, DirectVariant};
 use crate::gemm6::Gemm6Blocking;
@@ -11,7 +10,7 @@ use crate::winograd;
 use crate::{gemm3, gemm6};
 
 /// The convolutional algorithms compared in the paper (Paper II §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algo {
     /// Manually vectorized direct convolution, NHWC layout.
     Direct,

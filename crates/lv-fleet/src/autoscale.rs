@@ -5,13 +5,11 @@
 //! capacity/area trade-off is interpretable: scaled-up silicon is billed
 //! at the node's *peak* replica count (see `ChipSpec::area_mm2`).
 
-use serde::{Deserialize, Serialize};
-
 /// When to retire a replica (the scale-*down* path): the queue must sit
 /// at or below `idle_depth` for `sustain_s` before one replica is
 /// removed, never going below `min_replicas`. Scale-downs share the
 /// policy's cooldown with scale-ups.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScaleDown {
     /// Queue depth at or below this counts as idle.
     pub idle_depth: usize,
@@ -22,7 +20,7 @@ pub struct ScaleDown {
 }
 
 /// When and how far to scale a node out (and optionally back in).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AutoscalePolicy {
     /// Queue depth that counts as a breach.
     pub breach_depth: usize,
@@ -38,7 +36,7 @@ pub struct AutoscalePolicy {
 }
 
 /// One scaling action the autoscaler took.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleEvent {
     /// Fleet node index.
     pub node: usize,

@@ -4,12 +4,10 @@
 //! model, so fleet-level throughput-per-mm² is consistent with the
 //! paper's single-chip Pareto analysis.
 
-use serde::{Deserialize, Serialize};
-
 use crate::FleetError;
 
 /// A chip design point plus its measured per-class service times.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChipSpec {
     /// Display name ("lv-2048x1", ...).
     pub name: String,

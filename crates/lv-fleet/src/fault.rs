@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::FleetError;
 
@@ -19,7 +18,7 @@ const STRAGGLER_SEED_SALT: u64 = 0x2545_F491_4F6C_DD1D;
 const RACK_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Which fault family a run injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultScenario {
     /// No faults (the control run).
     None,
@@ -61,7 +60,7 @@ impl FaultScenario {
 }
 
 /// What happens to a node at a fault instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Node crashes: queue and in-flight work lost, offers refused.
     Down,
@@ -74,7 +73,7 @@ pub enum FaultAction {
 }
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Simulated time of the fault.
     pub at_s: f64,
@@ -85,7 +84,7 @@ pub struct FaultEvent {
 }
 
 /// A seeded fault schedule generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Fault family to inject.
     pub scenario: FaultScenario,
@@ -212,7 +211,7 @@ impl FaultSpec {
 }
 
 /// A concrete, time-sorted fault schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Scheduled faults, ascending by time (ties by node index).
     pub events: Vec<FaultEvent>,

@@ -5,10 +5,8 @@
 //! clears it. No oracle access to the fault plan: a health-aware router
 //! only knows what its own requests experienced.
 
-use serde::{Deserialize, Serialize};
-
 /// When to eject a node and for how long.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthPolicy {
     /// Consecutive failures that trigger ejection.
     pub consecutive_failures: u32,

@@ -42,6 +42,8 @@
 
 pub mod autoscale;
 pub mod chip;
+#[cfg(test)]
+mod engine;
 pub mod fault;
 pub mod health;
 pub mod router;
@@ -125,5 +127,67 @@ impl std::error::Error for FleetError {}
 impl From<lv_serving::ServingError> for FleetError {
     fn from(e: lv_serving::ServingError) -> Self {
         Self::Serving(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::one_node;
+
+    /// The single-chip `serve` shape at `rate`: 4 replicas of 10 ms
+    /// requests, unbounded queue.
+    fn base(rate: f64) -> FleetConfig {
+        one_node(4, rate, usize::MAX)
+    }
+
+    #[test]
+    fn zero_requests_is_a_typed_error() {
+        let err = |cfg: FleetConfig| FleetSim::new(cfg).unwrap_err();
+        let mut cfg = base(100.0);
+        cfg.workload.requests = 0;
+        assert_eq!(err(cfg), FleetError::NoRequests);
+        let mut cfg = base(100.0);
+        cfg.chips[0].replicas = 0;
+        assert_eq!(err(cfg), FleetError::Serving(lv_serving::ServingError::NoReplicas));
+        let mut cfg = base(100.0);
+        cfg.chips[0].service_s = vec![0.0];
+        assert!(matches!(err(cfg), FleetError::InvalidServiceTime(_)));
+        assert!(matches!(err(base(-1.0)), FleetError::InvalidRate(_)));
+    }
+
+    #[test]
+    fn underloaded_system_has_low_latency() {
+        // 4 replicas x 100 img/s capacity each = 400 rps capacity; offer 100.
+        let rep = FleetSim::new(base(100.0)).unwrap().run();
+        assert!(rep.nodes[0].utilization < 0.5, "util {}", rep.nodes[0].utilization);
+        // Latency close to pure service time.
+        assert!(rep.latency.p50_s < 0.015);
+        assert!((rep.achieved_rps - 100.0).abs() / 100.0 < 0.05);
+    }
+
+    #[test]
+    fn saturated_system_caps_at_capacity() {
+        // Offer 10x capacity: achieved rps ~ 400, latency blows up.
+        let rep = FleetSim::new(base(4000.0)).unwrap().run();
+        let capacity = 4.0 / 0.010;
+        assert!((rep.achieved_rps - capacity).abs() / capacity < 0.05, "rps {}", rep.achieved_rps);
+        assert!(rep.nodes[0].utilization > 0.95);
+        assert!(rep.latency.p99_s > rep.latency.p50_s * 0.9);
+        assert!(rep.latency.mean_s > 0.010);
+    }
+
+    #[test]
+    fn more_replicas_cut_queueing_latency() {
+        let slow = FleetSim::new(base(350.0)).unwrap().run();
+        let fast = FleetSim::new(one_node(8, 350.0, usize::MAX)).unwrap().run();
+        assert!(fast.latency.p99_s < slow.latency.p99_s);
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let a = FleetSim::new(base(100.0)).unwrap().run();
+        let b = FleetSim::new(base(100.0)).unwrap().run();
+        assert_eq!(a.latency.p99_s, b.latency.p99_s);
     }
 }

@@ -19,10 +19,9 @@ use std::collections::BinaryHeap;
 
 use lv_serving::metrics::percentile;
 use lv_serving::{
-    EngineNode, LatencyHistogram, LatencySummary, NodeConfig, NodeEvent, QueuedRequest,
+    BatchPolicy, EngineNode, LatencyHistogram, LatencySummary, NodeConfig, NodeEvent, QueuedRequest,
 };
 use lv_trace::{Tracer, TrackId};
-use serde::{Deserialize, Serialize};
 
 use crate::autoscale::{AutoscalePolicy, Autoscaler, ScaleEvent};
 use crate::chip::ChipSpec;
@@ -98,6 +97,11 @@ pub struct FleetConfig {
     pub slo_s: f64,
     /// Per-node admission-queue capacity.
     pub queue_capacity: usize,
+    /// Per-node dynamic batching policy.
+    pub batch: BatchPolicy,
+    /// Per-launch setup fraction of a batch's cost, `[0, 1)` (see
+    /// [`lv_serving::batch::batch_service_time`]).
+    pub batch_setup_frac: f64,
     /// Reject at the router when the picked node's expected delay
     /// already exceeds the SLO (sheds load early instead of queueing
     /// doomed work).
@@ -121,7 +125,7 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet with admission control, autoscaling, faults and
+    /// A fleet with admission control, autoscaling, batching, faults and
     /// tolerance off, and a 64-deep queue per node.
     pub fn basic(chips: Vec<ChipSpec>, policy: Policy, workload: WorkloadSpec, slo_s: f64) -> Self {
         Self {
@@ -130,6 +134,8 @@ impl FleetConfig {
             workload,
             slo_s,
             queue_capacity: 64,
+            batch: BatchPolicy::none(),
+            batch_setup_frac: 0.0,
             admission_control: false,
             deadline_s: None,
             strict_deadline: false,
@@ -164,6 +170,8 @@ impl FleetConfig {
         NodeConfig {
             deadline_s: self.deadline_s,
             strict_deadline: self.strict_deadline,
+            batch: self.batch,
+            batch_setup_frac: self.batch_setup_frac,
             ..NodeConfig::basic(chip.replicas, self.queue_capacity)
         }
     }
@@ -178,7 +186,7 @@ impl FleetConfig {
 /// Final per-request outcomes by reason. Each offered request is counted
 /// exactly once — either here or as completed — no matter how many
 /// copies were attempted, so `completed + total() == offered`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetDrops {
     /// Bounced off a node's bounded queue (after any retries).
     pub queue_full: u64,
@@ -188,7 +196,6 @@ pub struct FleetDrops {
     pub admission: u64,
     /// Lost to a node failure: crashed mid-service or mid-queue, or
     /// offered to a down node, with no retry left (or none configured).
-    #[serde(default)]
     pub failed: u64,
 }
 
@@ -200,7 +207,7 @@ impl FleetDrops {
 }
 
 /// Fault-tolerance activity during a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Retry dispatches (beyond each request's first attempt).
     pub retries: u64,
@@ -218,7 +225,7 @@ pub struct ResilienceStats {
 /// One slice of the SLO-attainment time series, bucketed by *arrival*
 /// time. `within_slo / offered` per slice shows availability dips around
 /// fault windows and how long recovery takes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttainSlice {
     /// Slice start, seconds.
     pub t_s: f64,
@@ -229,7 +236,7 @@ pub struct AttainSlice {
 }
 
 /// Per-node slice of the fleet report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSummary {
     /// Chip name.
     pub name: String,
@@ -244,12 +251,14 @@ pub struct NodeSummary {
     pub peak_replicas: usize,
     /// Deepest its queue got.
     pub max_queue_depth: usize,
+    /// Mean executed batch size (0 if it ran no batch).
+    pub mean_batch_size: f64,
     /// Silicon area at peak replicas, mm².
     pub area_mm2: f64,
 }
 
 /// What a fleet run produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Routing policy name.
     pub policy: String,
@@ -273,7 +282,6 @@ pub struct FleetReport {
     pub slo_attainment: f64,
     /// Fraction of offered requests that eventually completed at any
     /// latency — the run's availability.
-    #[serde(default)]
     pub availability: f64,
     /// Drops by final per-request outcome.
     pub drops: FleetDrops,
@@ -288,11 +296,9 @@ pub struct FleetReport {
     /// Autoscaling actions, in time order.
     pub scale_events: Vec<ScaleEvent>,
     /// Fault-tolerance activity.
-    #[serde(default)]
     pub resilience: ResilienceStats,
     /// SLO attainment over time (by arrival slice), for recovery-time
     /// analysis.
-    #[serde(default)]
     pub attain_series: Vec<AttainSlice>,
 }
 
@@ -417,8 +423,20 @@ impl FleetSim {
         self.run_traced(&Tracer::disabled(), 0)
     }
 
-    /// Run, emitting router/node spans, queue-depth counters, fault and
-    /// drop instants to `tracer` under Chrome-trace process id `pid`.
+    /// Run, emitting trace events to `tracer` under Chrome-trace process
+    /// id `pid`, all timestamped in microseconds of simulated time:
+    ///
+    /// * per dispatched copy of a request, async phases keyed by request
+    ///   id: `request` (offer → completion, shed, cancel or crash, with a
+    ///   `class` arg) containing `queue` (offer → dispatch), then `batch`
+    ///   and `execute` (dispatch → completion); a copy the queue rejects
+    ///   never opens a phase;
+    /// * per executed batch, a `batch xN` span on the node's track with
+    ///   `replica`, `batch_size` and `service_s` args;
+    /// * `queue_depth` and `active_replicas` counters per node;
+    /// * `drop:*` instants for final outcomes, `retry`/`hedge`/`scale-*`
+    ///   instants on the router track, and `fault:*` instants.
+    ///
     /// With a disabled tracer this is exactly [`FleetSim::run`].
     pub fn run_traced(&self, tracer: &Tracer, pid: u64) -> FleetReport {
         let c = &self.cfg;
@@ -529,6 +547,25 @@ impl Run<'_> {
         TrackId::new(self.pid, 2 + self.nodes.len() as u64)
     }
 
+    /// Close the trace phases of one copy of request `id` that was `was`
+    /// until `t`: a queued copy leaves the `queue`, an in-flight one ends
+    /// `execute` and `batch`; either way its `request` phase ends.
+    fn end_copy_phases(&self, id: usize, was: CopyStatus, t: f64) {
+        if !self.trace {
+            return;
+        }
+        let (id, t_us) = (id as u64, t * 1e6);
+        match was {
+            CopyStatus::Queued => self.tracer.async_end(self.pid, id, "queue", t_us),
+            CopyStatus::InFlight => {
+                self.tracer.async_end(self.pid, id, "execute", t_us);
+                self.tracer.async_end(self.pid, id, "batch", t_us);
+            }
+            CopyStatus::Gone => return,
+        }
+        self.tracer.async_end(self.pid, id, "request", t_us);
+    }
+
     /// The main loop: process heap events in time order, advancing every
     /// node to each event's time first so batch dispatches (and the
     /// completions they schedule) interleave correctly; when the heap is
@@ -567,7 +604,7 @@ impl Run<'_> {
         }
     }
 
-    /// Apply a window of engine events (batch dispatches and deadline
+    /// Apply a window of node events (batch dispatches and deadline
     /// sheds) to the per-request bookkeeping, merged across nodes in
     /// time order so cross-node hedge cancellation is deterministic.
     fn process_node_events(&mut self, mut evs: Vec<(usize, NodeEvent)>) {
@@ -596,6 +633,7 @@ impl Run<'_> {
                             .find(|c| c.node == i && c.status == CopyStatus::Queued)
                         {
                             c.status = CopyStatus::Gone;
+                            self.end_copy_phases(id, CopyStatus::Queued, at_s);
                         }
                         if let Some(h) = self.health.as_mut() {
                             h.on_failure(i, at_s);
@@ -618,6 +656,7 @@ impl Run<'_> {
                             at_s * 1e6,
                             vec![
                                 ("replica".into(), (replica as u64).into()),
+                                ("batch_size".into(), requests.len().into()),
                                 ("service_s".into(), service_s.into()),
                             ],
                         );
@@ -640,6 +679,18 @@ impl Run<'_> {
                         };
                         self.reqs[id].copies[ci].status = CopyStatus::InFlight;
                         self.push(done_s, Ev::Completion { id, copy: ci });
+                        if self.trace {
+                            let t_us = at_s * 1e6;
+                            self.tracer.async_end(self.pid, r.id, "queue", t_us);
+                            self.tracer.async_begin(
+                                self.pid,
+                                r.id,
+                                "batch",
+                                t_us,
+                                vec![("replica".into(), replica.into())],
+                            );
+                            self.tracer.async_begin(self.pid, r.id, "execute", t_us, vec![]);
+                        }
                         // First dispatch wins among queued copies: cancel
                         // still-queued siblings. A sibling that already
                         // dispatched races to completion instead.
@@ -650,6 +701,7 @@ impl Run<'_> {
                             let nj = self.reqs[id].copies[cj].node;
                             if nj != i && self.nodes[nj].node.cancel(r.id) {
                                 self.reqs[id].copies[cj].status = CopyStatus::Gone;
+                                self.end_copy_phases(id, CopyStatus::Queued, at_s);
                             }
                         }
                     }
@@ -782,10 +834,19 @@ impl Run<'_> {
             }
             self.reqs[id].copies.push(CopyRef { node: pick, status: CopyStatus::Queued });
             if self.trace {
+                let t_us = t * 1e6;
+                self.tracer.async_begin(
+                    self.pid,
+                    id as u64,
+                    "request",
+                    t_us,
+                    vec![("class".into(), class.into())],
+                );
+                self.tracer.async_begin(self.pid, id as u64, "queue", t_us, vec![]);
                 self.tracer.counter(
                     self.node_track(pick),
                     "queue_depth",
-                    t * 1e6,
+                    t_us,
                     self.nodes[pick].queue_len() as f64,
                 );
             }
@@ -874,6 +935,7 @@ impl Run<'_> {
             c.status = CopyStatus::Gone;
             c.node
         };
+        self.end_copy_phases(id, CopyStatus::InFlight, t);
         if self.reqs[id].outcome.is_none() {
             let latency_s = t - self.reqs[id].arrival_s;
             self.finalize(id, t, Outcome::Completed { latency_s });
@@ -951,7 +1013,9 @@ impl Run<'_> {
                         .iter_mut()
                         .find(|c| c.node == i && c.status != CopyStatus::Gone)
                     {
+                        let was = c.status;
                         c.status = CopyStatus::Gone;
+                        self.end_copy_phases(id, was, t);
                     }
                     if let Some(h) = self.health.as_mut() {
                         h.on_failure(i, t);
@@ -1029,6 +1093,7 @@ impl Run<'_> {
             let node_hist = n.node.merged_latency();
             let area = n.spec.area_mm2(n.node.peak_replicas());
             area_mm2 += area;
+            let (batches, batched) = n.node.batch_counts();
             summaries.push(NodeSummary {
                 name: n.spec.name.clone(),
                 completed: node_hist.len(),
@@ -1036,6 +1101,7 @@ impl Run<'_> {
                 utilization: n.node.busy_s() / (n.node.peak_replicas() as f64 * makespan),
                 peak_replicas: n.node.peak_replicas(),
                 max_queue_depth: n.node.max_queue_depth(),
+                mean_batch_size: if batches > 0 { batched as f64 / batches as f64 } else { 0.0 },
                 area_mm2: area,
             });
         }
@@ -1076,20 +1142,10 @@ impl Run<'_> {
 mod tests {
     use super::*;
     use crate::autoscale::ScaleDown;
+    use crate::engine::chip;
     use crate::fault::{FaultScenario, ALL_SCENARIOS};
     use crate::router::ALL_POLICIES;
     use crate::tolerance::{DegradePolicy, HedgePolicy, RetryPolicy};
-
-    fn chip(name: &str, vlen: usize, replicas: usize, svc: &[f64]) -> ChipSpec {
-        ChipSpec {
-            name: name.into(),
-            vlen_bits: vlen,
-            l2_mib: 4,
-            replicas,
-            service_s: svc.to_vec(),
-            degraded_service_s: None,
-        }
-    }
 
     fn small_fleet() -> Vec<ChipSpec> {
         vec![
@@ -1164,15 +1220,11 @@ mod tests {
             )
         };
         let a = FleetSim::new(cfg.clone()).unwrap().run();
-        let b = FleetSim::new(cfg).unwrap().run();
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.drops, b.drops);
-        assert_eq!(a.scale_events, b.scale_events);
-        assert_eq!(a.latency.p99_s, b.latency.p99_s);
-        assert_eq!(a.achieved_rps, b.achieved_rps);
-        assert_eq!(a.availability, b.availability);
-        assert_eq!(a.resilience, b.resilience);
-        assert_eq!(a.attain_series, b.attain_series);
+        let b = FleetSim::new(cfg.clone()).unwrap().run();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "same seed must replay exactly");
+        let reseeded = FleetConfig { workload: WorkloadSpec { seed: 43, ..cfg.workload }, ..cfg };
+        let c = FleetSim::new(reseeded).unwrap().run();
+        assert_ne!(format!("{a:?}"), format!("{c:?}"), "a new seed must draw new arrivals");
     }
 
     #[test]
@@ -1304,8 +1356,12 @@ mod tests {
         assert_eq!(r.nodes[0].peak_replicas, 4, "peak silicon is still billed");
     }
 
+    /// Tracing never perturbs a run, and the request lifecycle it emits
+    /// accounts for every copy on a three-node fleet with admission
+    /// control.
     #[test]
     fn traced_run_matches_untraced_and_emits_fleet_events() {
+        use lv_trace::PointEvent;
         let cfg = FleetConfig {
             admission_control: true,
             ..FleetConfig::basic(small_fleet(), Policy::ModelAffinity, workload(250.0, 2000), 0.2)
@@ -1313,25 +1369,51 @@ mod tests {
         let plain = FleetSim::new(cfg.clone()).unwrap().run();
         let tracer = Tracer::enabled();
         let traced = FleetSim::new(cfg).unwrap().run_traced(&tracer, 3);
-        assert_eq!(plain.completed, traced.completed);
-        assert_eq!(plain.latency.p99_s, traced.latency.p99_s);
-        assert_eq!(plain.drops, traced.drops);
-        assert!(!tracer.snapshot_spans().is_empty(), "batch spans expected");
-        let points = tracer.snapshot_points();
-        assert!(
-            points.iter().any(|p| matches!(
-                p,
-                lv_trace::PointEvent::Counter { name, .. } if name == "queue_depth"
-            )),
-            "queue-depth counters expected"
-        );
-        assert!(
-            points.iter().any(|p| matches!(
-                p,
-                lv_trace::PointEvent::Instant { name, .. } if name == "drop:admission"
-            )),
-            "admission-drop instants expected"
-        );
+        assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "tracing must not perturb");
+        assert_eq!(plain.completed as u64 + plain.drops.total(), plain.requests as u64);
+        assert!(plain.drops.admission > 0, "config must exercise admission");
+
+        // Every opened phase closes; drop instants match the report.
+        let mut begins = std::collections::HashMap::<(u64, String), u64>::new();
+        let mut ends = begins.clone();
+        let mut drops = std::collections::HashMap::<String, u64>::new();
+        for p in tracer.snapshot_points() {
+            match p {
+                PointEvent::AsyncBegin { id, name, .. } => {
+                    *begins.entry((id, name)).or_default() += 1;
+                }
+                PointEvent::AsyncEnd { id, name, .. } => {
+                    *ends.entry((id, name)).or_default() += 1;
+                }
+                PointEvent::Instant { name, .. } if name.starts_with("drop:") => {
+                    *drops.entry(name).or_default() += 1;
+                }
+                PointEvent::Counter { .. } | PointEvent::Instant { .. } => {}
+            }
+        }
+        assert_eq!(begins, ends, "every async phase must be closed");
+        let count = |n: &str| drops.get(n).copied().unwrap_or(0);
+        assert_eq!(count("drop:queue_full"), plain.drops.queue_full);
+        assert_eq!(count("drop:deadline"), plain.drops.deadline);
+        assert_eq!(count("drop:admission"), plain.drops.admission);
+        let opened = |phase: &str| -> u64 {
+            begins.iter().filter(|((_, n), _)| n == phase).map(|(_, c)| c).sum()
+        };
+        assert_eq!(opened("request"), plain.completed as u64 + plain.drops.deadline);
+        assert_eq!(opened("execute"), plain.completed as u64);
+
+        // Batch spans on node tracks account for every completion.
+        let spans = tracer.snapshot_spans();
+        let batched: f64 = spans
+            .iter()
+            .filter(|s| s.name.starts_with("batch x"))
+            .map(|s| s.arg("batch_size").and_then(|v| v.as_f64()).expect("batch_size arg"))
+            .sum();
+        assert_eq!(batched as usize, plain.completed);
+        assert!(tracer
+            .snapshot_points()
+            .iter()
+            .any(|p| matches!(p, PointEvent::Counter { name, .. } if name == "queue_depth")));
     }
 
     #[test]
@@ -1406,8 +1488,11 @@ mod tests {
         for c in &mut chips {
             c.degraded_service_s = Some(c.service_s.iter().map(|s| s / 2.0).collect());
         }
+        let batchings = [(BatchPolicy::none(), 0.0), (BatchPolicy::new(4, 0.004), 0.3)];
         for scenario in ALL_SCENARIOS {
-            for tolerant in [false, true] {
+            for (tolerant, (batch, batch_setup_frac)) in
+                [false, true].into_iter().flat_map(|t| batchings.map(|b| (t, b)))
+            {
                 let cfg = FleetConfig {
                     faults: Some(FaultSpec::scenario(scenario, 3, 15.0)),
                     tolerance: if tolerant {
@@ -1425,6 +1510,8 @@ mod tests {
                     },
                     admission_control: true,
                     deadline_s: Some(0.4),
+                    batch,
+                    batch_setup_frac,
                     ..FleetConfig::basic(
                         chips.clone(),
                         Policy::PowerOfTwoChoices,
@@ -1436,8 +1523,9 @@ mod tests {
                 assert_eq!(
                     r.completed as u64 + r.drops.total(),
                     r.requests as u64,
-                    "{} tolerant={tolerant}: {} completed + {:?}",
+                    "{} tolerant={tolerant} batch={}: {} completed + {:?}",
                     scenario.name(),
+                    batch.max_batch,
                     r.completed,
                     r.drops
                 );

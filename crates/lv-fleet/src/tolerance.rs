@@ -12,14 +12,12 @@
 //! request can never complete later than `arrival + budget`. Retries are
 //! additionally not scheduled past the budget at all.
 
-use serde::{Deserialize, Serialize};
-
 use crate::health::HealthPolicy;
 use crate::FleetError;
 
 /// Bounded retries with exponential backoff, funded by the deadline
 /// budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total dispatch attempts including the first (>= 1).
     pub max_attempts: u32,
@@ -39,7 +37,7 @@ impl RetryPolicy {
 /// dispatch wins among still-queued copies (the other is cancelled); if
 /// both reach service, the first completion wins and the loser is
 /// counted as wasted work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgePolicy {
     /// Never hedge sooner than this, seconds.
     pub min_delay_s: f64,
@@ -62,7 +60,7 @@ impl HedgePolicy {
 /// request with the chip's cheaper degraded algorithm instead (see
 /// `ChipSpec::degraded_service_s`); admission shedding only kicks in
 /// after degradation can no longer hold the SLO.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradePolicy {
     /// Degrade when expected delay exceeds this fraction of the SLO.
     pub delay_frac: f64,
@@ -77,7 +75,7 @@ impl DegradePolicy {
 
 /// The fleet's fault-tolerance configuration. Each knob is independent;
 /// all `None` reproduces the fault-oblivious PR 5 behavior exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultTolerance {
     /// Outlier detection: eject unhealthy nodes from routing.
     pub health: Option<HealthPolicy>,

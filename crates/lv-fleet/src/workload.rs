@@ -12,14 +12,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::FleetError;
 
 /// Sinusoidal diurnal modulation with mean exactly one over a period:
 /// `rate(t) = base · (1 + amplitude · sin(2πt / period))`. Total offered
 /// load over whole periods equals the unmodulated process.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Diurnal {
     /// Peak-to-mean swing, `[0, 1)`.
     pub amplitude: f64,
@@ -30,7 +29,7 @@ pub struct Diurnal {
 /// Flash-burst windows: intervals of `duration_s` during which the rate
 /// multiplies by `factor`, starting at exponentially distributed gaps
 /// with the given mean.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Bursts {
     /// Rate multiplier inside a burst window (>= 1).
     pub factor: f64,
@@ -41,7 +40,7 @@ pub struct Bursts {
 }
 
 /// Specification of one workload trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Mean (time-averaged) arrival rate, requests/second.
     pub rate_rps: f64,
@@ -58,7 +57,7 @@ pub struct WorkloadSpec {
 }
 
 /// One request in a trace: arrival time and class index.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// Arrival sequence number.
     pub id: u64,

@@ -1,39 +1,46 @@
-//! Conformance tests for the serving engine: deterministic replay under a
-//! fixed seed, FIFO dispatch (batching never reorders admitted requests),
-//! arrival conservation under backpressure, and trace transparency
-//! (`run_traced` reports byte-identically to `run`).
+//! Conformance tests for the single-chip serving engine, run as a
+//! one-node fleet: deterministic replay under a fixed seed, FIFO dispatch
+//! (batching never reorders admitted requests), arrival conservation
+//! under backpressure, and trace transparency (`run_traced` reports
+//! byte-identically to `run`).
 
-use lv_serving::engine::{EngineConfig, RequestClass, ServingEngine};
+use lv_fleet::{ChipSpec, FleetConfig, FleetSim, Policy, WorkloadSpec};
 use lv_serving::BatchPolicy;
 use lv_trace::{PointEvent, Tracer};
 
-/// A moderately loaded heterogeneous config exercising batching, a finite
+fn one_node(replicas: usize, service_s: &[f64], workload: WorkloadSpec) -> FleetConfig {
+    let chip = ChipSpec {
+        name: "one".into(),
+        vlen_bits: 2048,
+        l2_mib: 64,
+        replicas,
+        service_s: service_s.to_vec(),
+        degraded_service_s: None,
+    };
+    FleetConfig::basic(vec![chip], Policy::RoundRobin, workload, 0.2)
+}
+
+/// A moderately loaded two-class node exercising batching, a finite
 /// queue and deadline shedding all at once.
-fn stress_config(seed: u64) -> EngineConfig {
-    EngineConfig {
-        replicas: 3,
-        classes: vec![
-            RequestClass { name: "vgg16".into(), unit_cost_s: 0.020, weight: 1.0 },
-            RequestClass { name: "yolov3".into(), unit_cost_s: 0.045, weight: 2.0 },
-        ],
-        arrival_rate: 150.0,
-        requests: 600,
+fn stress_config(seed: u64) -> FleetConfig {
+    let workload =
+        WorkloadSpec { class_weights: vec![1.0, 2.0], ..WorkloadSpec::basic(150.0, 600, 2, seed) };
+    FleetConfig {
         queue_capacity: 24,
         deadline_s: Some(0.12),
         batch: BatchPolicy::new(4, 0.004),
         batch_setup_frac: 0.3,
-        seed,
-        slice_s: 0.0,
+        ..one_node(3, &[0.020, 0.045], workload)
     }
 }
 
 #[test]
 fn identical_seed_replays_byte_identically() {
-    let a = ServingEngine::new(stress_config(11)).unwrap().run();
-    let b = ServingEngine::new(stress_config(11)).unwrap().run();
+    let a = FleetSim::new(stress_config(11)).unwrap().run();
+    let b = FleetSim::new(stress_config(11)).unwrap().run();
     assert_eq!(format!("{a:?}"), format!("{b:?}"), "same seed must replay exactly");
 
-    let c = ServingEngine::new(stress_config(12)).unwrap().run();
+    let c = FleetSim::new(stress_config(12)).unwrap().run();
     assert_ne!(
         format!("{a:?}"),
         format!("{c:?}"),
@@ -43,15 +50,11 @@ fn identical_seed_replays_byte_identically() {
 
 #[test]
 fn traced_run_reports_identically_to_untraced() {
-    let engine = ServingEngine::new(stress_config(7)).unwrap();
-    let plain = engine.run();
+    let sim = FleetSim::new(stress_config(7)).unwrap();
+    let plain = sim.run();
     let tracer = Tracer::enabled();
-    let traced = engine.run_traced(&tracer, 3);
-    assert_eq!(
-        format!("{plain:?}"),
-        format!("{traced:?}"),
-        "tracing must not perturb the simulation"
-    );
+    let traced = sim.run_traced(&tracer, 3);
+    assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "tracing must not perturb the run");
     assert!(
         !tracer.snapshot_points().is_empty(),
         "an enabled tracer must have observed request lifecycle events"
@@ -64,10 +67,10 @@ fn batching_never_reorders_admitted_requests() {
     // order in which requests *leave* the queue (whether dispatched into a
     // batch or shed at a deadline) must follow arrival order exactly. The
     // tracer's `queue` async phases are correlated by arrival sequence
-    // number, and the engine emits events in simulated-time order, so the
+    // number, and the loop emits events in simulated-time order, so the
     // stream of `queue`-phase ends must carry strictly increasing ids.
     let tracer = Tracer::enabled();
-    let report = ServingEngine::new(stress_config(21)).unwrap().run_traced(&tracer, 0);
+    let report = FleetSim::new(stress_config(21)).unwrap().run_traced(&tracer, 0);
     assert!(report.completed > 0);
 
     let mut last_id: Option<u64> = None;
@@ -94,17 +97,18 @@ fn batching_never_reorders_admitted_requests() {
 
 #[test]
 fn every_arrival_is_served_or_counted_dropped() {
-    let report = ServingEngine::new(stress_config(33)).unwrap().run();
+    let report = FleetSim::new(stress_config(33)).unwrap().run();
     assert_eq!(
         report.completed + report.drops.total() as usize,
         600,
         "arrivals must be conserved: completed + dropped == issued"
     );
     assert!(report.drops.queue_full > 0, "the stress config must exercise backpressure");
-    assert!(report.drops.deadline_exceeded > 0, "the stress config must exercise shedding");
+    assert!(report.drops.deadline > 0, "the stress config must exercise shedding");
     assert!(report.latency.count == report.completed);
-    assert!(report.mean_batch_size >= 1.0, "batches hold at least one request");
-    assert!(report.utilization > 0.0 && report.utilization <= 1.0);
+    let node = &report.nodes[0];
+    assert!(node.mean_batch_size >= 1.0, "batches hold at least one request");
+    assert!(node.utilization > 0.0 && node.utilization <= 1.0);
 }
 
 #[test]
@@ -112,25 +116,18 @@ fn unloaded_engine_batches_singly_and_drops_nothing() {
     // Arrivals far apart relative to service time: every batch should be a
     // singleton (time trigger with an empty tail), nothing dropped, and
     // latency ~ unit cost + max_wait.
-    let cfg = EngineConfig {
-        replicas: 2,
-        classes: RequestClass::uniform(0.002),
-        arrival_rate: 20.0,
-        requests: 200,
-        queue_capacity: 64,
-        deadline_s: None,
+    let cfg = FleetConfig {
         batch: BatchPolicy::new(8, 0.001),
         batch_setup_frac: 0.2,
-        seed: 5,
-        slice_s: 0.0,
+        ..one_node(2, &[0.002], WorkloadSpec::basic(20.0, 200, 1, 5))
     };
-    let report = ServingEngine::new(cfg).unwrap().run();
+    let report = FleetSim::new(cfg).unwrap().run();
     assert_eq!(report.completed, 200);
     assert_eq!(report.drops.total(), 0);
     assert!(
-        report.mean_batch_size < 1.5,
+        report.nodes[0].mean_batch_size < 1.5,
         "an unloaded engine must not accumulate batches (got {})",
-        report.mean_batch_size
+        report.nodes[0].mean_batch_size
     );
     assert!(report.latency.max_s >= 0.002 + 0.001 - 1e-12);
 }

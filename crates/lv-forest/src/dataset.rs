@@ -3,10 +3,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A labeled tabular dataset (dense f64 features, integer class labels).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Feature names (column order).
     pub feature_names: Vec<String>,

@@ -5,13 +5,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{stratified_kfold, Dataset};
 use crate::tree::{DecisionTree, TreeParams};
 
 /// Forest hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ForestParams {
     /// Number of trees.
     pub n_trees: usize,
@@ -32,7 +31,7 @@ impl Default for ForestParams {
 }
 
 /// A fitted random forest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_classes: usize,
@@ -135,7 +134,7 @@ impl RandomForest {
 }
 
 /// Result of a k-fold cross-validation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CvReport {
     /// Per-fold accuracy.
     pub fold_accuracy: Vec<f64>,

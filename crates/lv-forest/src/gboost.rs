@@ -3,10 +3,8 @@
 //! logistic gradient (a compact LogitBoost-style scheme sufficient for the
 //! 448-point selection dataset).
 
-use serde::{Deserialize, Serialize};
-
 /// Boosting hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GboostParams {
     /// Boosting rounds per class.
     pub rounds: usize,

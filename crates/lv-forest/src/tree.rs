@@ -2,10 +2,9 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Tree hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TreeParams {
     /// Maximum depth (the paper tunes the forest to depth 10).
     pub max_depth: usize,
@@ -22,14 +21,14 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf { class: usize },
     Split { feat: usize, thresh: f64, left: usize, right: usize },
 }
 
 /// A fitted CART decision tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     /// Total Gini impurity decrease attributed to each feature

@@ -4,10 +4,9 @@
 use lv_conv::{prepare_weights, run_conv, Algo};
 use lv_sim::{Machine, MachineConfig, Stats};
 use lv_tensor::{pseudo_buf, pseudo_weights, ConvShape};
-use serde::{Deserialize, Serialize};
 
 /// Result of measuring one (layer, hardware config, algorithm) point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LayerMeasurement {
     /// Layer geometry.
     pub shape: ConvShape,

@@ -2,10 +2,9 @@
 //! relative-index shortcut and route references.
 
 use lv_tensor::ConvShape;
-use serde::{Deserialize, Serialize};
 
 /// Activation applied after a convolution or fully-connected layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// No activation (linear).
     Linear,
@@ -16,7 +15,7 @@ pub enum Activation {
 }
 
 /// One layer of the network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LayerKind {
     /// Convolution (+bias +activation).
     Conv {
@@ -66,7 +65,7 @@ pub enum LayerKind {
 }
 
 /// A layer plus its computed output dimensions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// What the layer does.
     pub kind: LayerKind,
@@ -86,7 +85,7 @@ impl Layer {
 }
 
 /// A network: input dimensions plus an ordered layer list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     /// Human-readable name ("yolov3", "vgg16", ...).
     pub name: String,

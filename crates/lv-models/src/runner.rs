@@ -6,7 +6,6 @@
 use lv_conv::{prepare_weights, run_conv, Algo};
 use lv_sim::{Machine, Stats, VReg};
 use lv_tensor::{pseudo_buf, pseudo_weights, AlignedVec, ConvShape};
-use serde::{Deserialize, Serialize};
 
 use crate::model::{Activation, LayerKind, Model};
 
@@ -63,7 +62,7 @@ pub fn generate_weights(model: &Model) -> NetWeights {
 }
 
 /// Per-layer result of a network run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerReport {
     /// Layer index in the model.
     pub index: usize,
@@ -78,7 +77,7 @@ pub struct LayerReport {
 }
 
 /// Result of a full network inference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkReport {
     /// Model name.
     pub model: String,

@@ -7,10 +7,8 @@
 //! im2col buffer setup) and then a per-item cost, so larger batches raise
 //! throughput at the price of batching delay.
 
-use serde::{Deserialize, Serialize};
-
 /// When to launch a batch.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
     /// Launch as soon as this many requests are queued (>= 1).
     pub max_batch: usize,

@@ -14,10 +14,9 @@
 //! each trace's lines are offset into a private region before replay.
 
 use lv_sim::{Cache, CacheGeometry};
-use serde::{Deserialize, Serialize};
 
 /// Result of a contention replay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContentionReport {
     /// L2 misses per tenant when run alone in the full-size cache.
     pub isolated_misses: Vec<u64>,

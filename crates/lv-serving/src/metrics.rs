@@ -1,13 +1,10 @@
-//! Observability for the serving engine: exact-rank latency statistics,
-//! per-replica counters, drop accounting, and time-sliced utilization /
-//! queue-depth series.
+//! Observability for a serving node: exact-rank latency statistics,
+//! per-replica counters and drop accounting.
 //!
 //! All percentiles use the nearest-rank definition (`ceil(n·p)`-th order
 //! statistic), which never reports a value below the true percentile on
-//! small samples — unlike truncating the rank index, which biased the old
-//! `ServingSim` p99 low.
-
-use serde::{Deserialize, Serialize};
+//! small samples — unlike truncating the rank index, which biases tail
+//! percentiles low.
 
 /// Nearest-rank percentile of an ascending-sorted sample: the value at
 /// 1-based rank `ceil(n * p)`, clamped to `[1, n]`. Panics on an empty
@@ -21,7 +18,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Summary statistics of a latency sample.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LatencySummary {
     /// Arithmetic mean in seconds.
     pub mean_s: f64,
@@ -100,7 +97,7 @@ impl LatencyHistogram {
 }
 
 /// Why a request was dropped instead of served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// The bounded admission queue was full on arrival (backpressure).
     QueueFull,
@@ -111,14 +108,13 @@ pub enum DropReason {
 }
 
 /// Drop accounting by reason.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DropStats {
     /// Requests rejected at admission because the queue was full.
     pub queue_full: u64,
     /// Requests shed because their deadline passed while queued.
     pub deadline_exceeded: u64,
     /// Requests lost to a node crash (queued or in flight at the time).
-    #[serde(default)]
     pub failed: u64,
 }
 
@@ -139,7 +135,7 @@ impl DropStats {
 }
 
 /// Per-replica work counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReplicaCounters {
     /// Batches executed.
     pub batches: u64,
@@ -147,122 +143,6 @@ pub struct ReplicaCounters {
     pub requests: u64,
     /// Total busy time in seconds.
     pub busy_s: f64,
-}
-
-/// One time slice of the utilization / queue-depth series.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SliceStat {
-    /// Slice start time in seconds.
-    pub t_start_s: f64,
-    /// Fraction of replica-seconds spent busy in this slice, in [0, 1].
-    pub utilization: f64,
-    /// Time-weighted mean queue depth over the slice.
-    pub mean_queue_depth: f64,
-}
-
-/// Builds time-sliced utilization and queue-depth series from engine
-/// events: `add_busy` contributes replica busy intervals, `note_depth`
-/// records queue-depth transitions (integrated time-weighted per slice).
-#[derive(Debug, Clone)]
-pub struct SeriesRecorder {
-    slice_s: f64,
-    busy: Vec<f64>,     // busy replica-seconds per slice
-    depth_dt: Vec<f64>, // integral of queue depth over time per slice
-    last_depth_t: f64,
-    last_depth: usize,
-    max_depth: usize,
-}
-
-impl SeriesRecorder {
-    /// New recorder with the given slice width (seconds).
-    pub fn new(slice_s: f64) -> Self {
-        assert!(slice_s > 0.0, "slice width must be positive");
-        Self {
-            slice_s,
-            busy: Vec::new(),
-            depth_dt: Vec::new(),
-            last_depth_t: 0.0,
-            last_depth: 0,
-            max_depth: 0,
-        }
-    }
-
-    fn slice_of(&self, t: f64) -> usize {
-        (t / self.slice_s) as usize
-    }
-
-    fn ensure(&mut self, idx: usize) {
-        if self.busy.len() <= idx {
-            self.busy.resize(idx + 1, 0.0);
-            self.depth_dt.resize(idx + 1, 0.0);
-        }
-    }
-
-    /// Spread `weight`-scaled time over `[t0, t1)` into `acc` slices.
-    /// Index-stepped rather than time-stepped: advancing a float clock to
-    /// each slice boundary can stall when rounding makes the boundary
-    /// land at or below the current time.
-    fn spread(slice_s: f64, acc: &mut [f64], t0: f64, t1: f64, weight: f64) {
-        let i0 = (t0 / slice_s) as usize;
-        let i1 = ((t1 / slice_s) as usize).min(acc.len().saturating_sub(1));
-        for (idx, slot) in acc.iter_mut().enumerate().take(i1 + 1).skip(i0) {
-            let lo = idx as f64 * slice_s;
-            let hi = lo + slice_s;
-            let seg = (t1.min(hi) - t0.max(lo)).max(0.0);
-            *slot += seg * weight;
-        }
-    }
-
-    /// Add one replica's busy interval `[start, end)`.
-    pub fn add_busy(&mut self, start_s: f64, end_s: f64) {
-        if end_s <= start_s {
-            return;
-        }
-        let last = self.slice_of(end_s);
-        self.ensure(last);
-        Self::spread(self.slice_s, &mut self.busy, start_s, end_s, 1.0);
-    }
-
-    /// Record that the queue depth became `depth` at time `t`.
-    pub fn note_depth(&mut self, t_s: f64, depth: usize) {
-        if t_s > self.last_depth_t && self.last_depth > 0 {
-            let last = self.slice_of(t_s);
-            self.ensure(last);
-            Self::spread(
-                self.slice_s,
-                &mut self.depth_dt,
-                self.last_depth_t,
-                t_s,
-                self.last_depth as f64,
-            );
-        }
-        self.last_depth_t = self.last_depth_t.max(t_s);
-        self.last_depth = depth;
-        self.max_depth = self.max_depth.max(depth);
-    }
-
-    /// Maximum queue depth ever observed.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    /// Close the series at `end_s` and emit per-slice stats for a system
-    /// of `replicas` servers.
-    pub fn finalize(mut self, end_s: f64, replicas: usize) -> Vec<SliceStat> {
-        self.note_depth(end_s, 0); // flush the trailing depth segment
-        let n = self.slice_of(end_s.max(0.0)).min(self.busy.len().max(1) - 1);
-        self.ensure(n);
-        (0..=n)
-            .map(|i| {
-                let width = self.slice_s;
-                SliceStat {
-                    t_start_s: i as f64 * width,
-                    utilization: (self.busy[i] / (width * replicas as f64)).min(1.0),
-                    mean_queue_depth: self.depth_dt[i] / width,
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -345,30 +225,5 @@ mod tests {
         assert_eq!(d.queue_full, 2);
         assert_eq!(d.deadline_exceeded, 1);
         assert_eq!(d.total(), 3);
-    }
-
-    #[test]
-    fn series_tracks_busy_and_depth() {
-        let mut s = SeriesRecorder::new(1.0);
-        // One replica busy 0.0..1.5 -> slice0 util 1.0, slice1 util 0.5.
-        s.add_busy(0.0, 1.5);
-        // Depth 2 during 0.5..1.0 -> slice0 mean depth 1.0.
-        s.note_depth(0.5, 2);
-        s.note_depth(1.0, 0);
-        let slices = s.finalize(2.0, 1);
-        assert!(slices.len() >= 2);
-        assert!((slices[0].utilization - 1.0).abs() < 1e-9);
-        assert!((slices[1].utilization - 0.5).abs() < 1e-9);
-        assert!((slices[0].mean_queue_depth - 1.0).abs() < 1e-9);
-        assert!((slices[1].mean_queue_depth - 0.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn series_records_max_depth() {
-        let mut s = SeriesRecorder::new(0.5);
-        s.note_depth(0.1, 3);
-        s.note_depth(0.2, 7);
-        s.note_depth(0.3, 1);
-        assert_eq!(s.max_depth(), 7);
     }
 }

@@ -1,18 +1,18 @@
-//! A steppable serving node: the engine's dispatch mechanics (bounded
+//! A steppable serving node: one chip's dispatch mechanics (bounded
 //! admission, deadline shedding, dynamic batching, least-loaded replica
-//! selection) factored out of the closed event loop so an external
-//! scheduler can drive many nodes against one shared clock.
+//! selection) behind an interface an external scheduler drives against
+//! its own clock.
 //!
-//! [`crate::engine::ServingEngine`] drives exactly one node with its own
-//! Poisson arrival process; `lv-fleet` drives one node per chip behind a
-//! router, interleaving [`EngineNode::advance`] and [`EngineNode::offer`]
-//! calls in global arrival order. The node never looks at a wall clock:
-//! time only moves when the caller passes it in, so a fleet of nodes
-//! stays deterministic regardless of host parallelism.
+//! `lv-fleet`'s `FleetSim` is that scheduler: it drives one node per chip
+//! behind a router, interleaving [`EngineNode::advance`] and
+//! [`EngineNode::offer`] calls in global arrival order (a single chip is
+//! a one-node fleet). The node never looks at a wall clock: time only
+//! moves when the caller passes it in, so a fleet of nodes stays
+//! deterministic regardless of host parallelism.
 //!
 //! Everything the node does while its clock advances is returned as
-//! [`NodeEvent`]s, which callers map to traces / time series; the node
-//! itself keeps only the aggregate counters (per-replica
+//! [`NodeEvent`]s, which callers map to traces and request bookkeeping;
+//! the node itself keeps only the aggregate counters (per-replica
 //! [`ReplicaCounters`] and [`LatencyHistogram`]s, [`DropStats`]) that
 //! reports are built from.
 
@@ -21,8 +21,7 @@ use crate::metrics::{DropReason, DropStats, LatencyHistogram, ReplicaCounters};
 use crate::queue::{AdmissionQueue, QueuedRequest};
 use crate::ServingError;
 
-/// The per-node subset of [`crate::engine::EngineConfig`]: everything
-/// about the server, nothing about the arrival process.
+/// Everything about the server, nothing about the arrival process.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// Replicas initially active (each on its own core / L2 partition).
@@ -127,9 +126,8 @@ struct InFlight {
 /// external scheduler steps through time. See the module docs for the
 /// drive protocol; the invariant is that [`EngineNode::advance`]`(t)`
 /// processes every dispatch eligible strictly before `t`, so offering an
-/// arrival at `t` after advancing to `t` reproduces the closed engine
-/// loop exactly (ties between an arrival and a dispatch go to the
-/// arrival, letting batches fill greedily).
+/// arrival at `t` after advancing to `t` gives ties between an arrival
+/// and a dispatch to the arrival, letting batches fill greedily.
 #[derive(Debug)]
 pub struct EngineNode {
     cfg: NodeConfig,
@@ -500,13 +498,23 @@ mod tests {
             Err(ServingError::NoReplicas)
         ));
         assert!(matches!(NodeConfig::basic(1, 0).validate(), Err(ServingError::ZeroQueueCapacity)));
+        for d in [0.0, -0.5, f64::NAN] {
+            assert!(matches!(
+                NodeConfig { deadline_s: Some(d), ..NodeConfig::basic(1, 4) }.validate(),
+                Err(ServingError::InvalidDeadline(_))
+            ));
+        }
         assert!(matches!(
-            NodeConfig { deadline_s: Some(0.0), ..NodeConfig::basic(1, 4) }.validate(),
-            Err(ServingError::InvalidDeadline(_))
+            NodeConfig {
+                batch: BatchPolicy { max_batch: 0, max_wait_s: 0.0 },
+                ..NodeConfig::basic(1, 4)
+            }
+            .validate(),
+            Err(ServingError::ZeroBatch)
         ));
         assert!(matches!(
-            NodeConfig { deadline_s: Some(f64::NAN), ..NodeConfig::basic(1, 4) }.validate(),
-            Err(ServingError::InvalidDeadline(_))
+            NodeConfig { batch_setup_frac: 1.0, ..NodeConfig::basic(1, 4) }.validate(),
+            Err(ServingError::InvalidSetupFrac(_))
         ));
         assert!(NodeConfig::basic(2, 8).validate().is_ok());
     }

@@ -16,7 +16,7 @@ pub struct QueuedRequest {
     pub id: u64,
     /// Arrival time in seconds.
     pub arrival_s: f64,
-    /// Index into the engine's request-class table.
+    /// Request class index (the workload's class table).
     pub class: usize,
     /// Service cost of this request alone (seconds).
     pub unit_cost_s: f64,

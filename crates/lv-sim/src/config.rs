@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How the vector processing unit is attached to the memory hierarchy.
 ///
 /// The paper evaluates both styles: Paper II simulates a *tightly integrated*
 /// vector unit (reads through the L1 data cache, like ARM-SVE or the RVV unit
 /// in the `plct-gem5` fork), while Paper I's RISC-VV model is a *decoupled*
 /// VPU attached directly to the L2 cache through a small vector buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VpuStyle {
     /// Vector memory operations probe L1, then L2, then main memory.
     Integrated,
@@ -20,7 +18,7 @@ pub enum VpuStyle {
 }
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -45,7 +43,7 @@ impl CacheGeometry {
 /// are calibrated so that the *ratios* the paper reports (vector-length
 /// scaling, cache-size scaling, algorithm crossovers) are reproduced; see
 /// `DESIGN.md` §4 for the substitution rationale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Front-end issue cost per (vector) instruction.
     pub issue: u64,
@@ -95,7 +93,7 @@ impl Default for CostModel {
 }
 
 /// Full machine configuration: one hardware design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Vector register length in bits (512 .. 16384, powers of two).
     pub vlen_bits: usize,

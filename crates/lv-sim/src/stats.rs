@@ -1,13 +1,11 @@
 //! Execution statistics collected by the simulated machine.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated during a simulation run.
 ///
 /// `cycles` is the in-order timing model's total; the remaining counters
 /// support the paper's secondary metrics (average consumed vector length,
 /// L2 miss rate, arithmetic intensity).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Stats {
     /// Total simulated cycles.
     pub cycles: u64,

@@ -1,10 +1,8 @@
 //! Convolutional layer geometry.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one 2-D convolutional layer (batch size 1, as in the paper's
 /// inference setting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvShape {
     /// Input channels.
     pub ic: usize,

@@ -17,7 +17,7 @@
 //!
 //! Timestamps are caller-supplied `f64` microseconds. The simulated
 //! machine traces with **1 trace-µs ≡ 1 simulated cycle**, so span
-//! durations are exact cycle counts; the serving engine traces simulated
+//! durations are exact cycle counts; the serving simulation traces simulated
 //! seconds × 10⁶; the benchmark harness traces wall-clock microseconds on
 //! its own process id. Keep unrelated clock domains on distinct `pid`s.
 //!

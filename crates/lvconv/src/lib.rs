@@ -10,7 +10,11 @@
 //! * [`models`] — YOLOv3 / VGG-16 and the network runner,
 //! * [`forest`] — the random-forest algorithm selector,
 //! * [`area`] — the 7 nm area model and Pareto utilities,
-//! * [`serving`] — the model-serving co-location simulation,
+//! * [`serving`] — one co-located serving chip: cache partitioning,
+//!   admission queue, batching, and the steppable serving node,
+//! * [`fleet`] — the serving event loop: chips behind a router, with
+//!   admission, autoscaling and fault injection (one chip is a one-node
+//!   fleet),
 //! * [`bench`] — the experiment harness behind every paper figure,
 //! * [`check`] — the differential conformance harness (f64 oracles,
 //!   derived tolerances, shape fuzzer) behind `repro check`.
@@ -37,6 +41,7 @@ pub use lv_area as area;
 pub use lv_bench as bench;
 pub use lv_check as check;
 pub use lv_conv as conv;
+pub use lv_fleet as fleet;
 pub use lv_forest as forest;
 pub use lv_models as models;
 pub use lv_serving as serving;

@@ -1,7 +1,8 @@
 //! Model serving: co-locate CNN replicas on a multicore long-vector chip
 //! with CAT-style L2 partitioning, measure per-replica inference latency
-//! on the simulated machine, then drive an open-loop serving simulation to
-//! see throughput and tail latency — the paper's deployment scenario.
+//! on the simulated machine, then serve open-loop Poisson traffic on the
+//! chip (a one-node fleet) to see throughput and tail latency — the
+//! paper's deployment scenario.
 //!
 //! ```text
 //! cargo run --release -p lvconv --example model_serving [scale]
@@ -9,8 +10,9 @@
 
 use lvconv::area::chip_area_mm2;
 use lvconv::conv::ALL_ALGOS;
+use lvconv::fleet::{ChipSpec, FleetConfig, FleetSim, Policy, WorkloadSpec};
 use lvconv::models::{measure_layer, zoo};
-use lvconv::serving::{partition_l2, ServingConfig, ServingSim};
+use lvconv::serving::partition_l2;
 use lvconv::sim::MachineConfig;
 
 fn main() {
@@ -47,23 +49,32 @@ fn main() {
             .sum();
         let service_s = cycles as f64 / 2e9;
         let capacity = replicas as f64 / service_s;
-        let sim = ServingSim::new(ServingConfig {
+        let chip = ChipSpec {
+            name: format!("vgg16x{replicas}"),
+            vlen_bits: vlen,
+            l2_mib: shared_l2,
             replicas,
-            service_time_s: service_s,
-            arrival_rate: 0.7 * capacity,
-            requests: 5000,
-            seed: 11,
-        })
-        .expect("serving config is valid by construction");
-        let rep = sim.run();
+            service_s: vec![service_s],
+            degraded_service_s: None,
+        };
+        let cfg = FleetConfig {
+            queue_capacity: usize::MAX,
+            ..FleetConfig::basic(
+                vec![chip],
+                Policy::RoundRobin,
+                WorkloadSpec::basic(0.7 * capacity, 5000, 1, 11),
+                8.0 * service_s,
+            )
+        };
+        let rep = FleetSim::new(cfg).expect("serving config is valid by construction").run();
         println!(
             "{:>8} {:>8}MB {:>9.2}ms {:>8.1}img/s {:>8.2}ms {:>9.0}% {:>7.1}mm2",
             replicas,
             part,
             service_s * 1e3,
             capacity,
-            rep.p99_latency_s * 1e3,
-            100.0 * rep.utilization,
+            rep.latency.p99_s * 1e3,
+            100.0 * rep.nodes[0].utilization,
             chip_area_mm2(replicas, vlen, shared_l2),
         );
     }

@@ -1,17 +1,18 @@
-//! Grid → selector → serving engine, end to end at one configuration:
+//! Grid → selector → one-node serving fleet, end to end at one configuration:
 //! the machinery behind the `serve` artifact, on a scaled-down grid.
 //!
 //! Measured per-layer cycles feed the random-forest selector (trained
 //! once, reused via `predict_batch`); the resulting per-policy network
-//! service times drive the multi-replica serving engine, and the
+//! service times drive a multi-replica chip run as a one-node fleet, and the
 //! capacity ordering Optimal <= Predicted/Direct must come out the way
 //! Figs. 9/10 imply.
 
 use lvconv::bench::grid::{policy_cycles, run_points, SimPoint};
 use lvconv::bench::selector::{dataset_from_grid, features_of};
 use lvconv::conv::{Algo, ALL_ALGOS};
+use lvconv::fleet::{ChipSpec, FleetConfig, FleetSim, Policy, WorkloadSpec};
 use lvconv::forest::{ForestParams, RandomForest};
-use lvconv::serving::{partition_l2, BatchPolicy, EngineConfig, RequestClass, ServingEngine};
+use lvconv::serving::partition_l2;
 use lvconv::sim::MachineConfig;
 use lvconv::tensor::ConvShape;
 
@@ -96,19 +97,20 @@ fn grid_to_selector_to_serving_pipeline() {
     // the faster stacks must complete more work with fewer drops.
     let offered = 1.4 * REPLICAS as f64 / secs(direct);
     let serve = |service_s: f64| {
-        let cfg = EngineConfig {
+        let chip = ChipSpec {
+            name: "small".into(),
+            vlen_bits: VLEN,
+            l2_mib: 8,
             replicas: REPLICAS,
-            classes: RequestClass::uniform(service_s),
-            arrival_rate: offered,
-            requests: 4000,
-            queue_capacity: 32,
-            deadline_s: None,
-            batch: BatchPolicy::none(),
-            batch_setup_frac: 0.0,
-            seed: 7,
-            slice_s: 0.0,
+            service_s: vec![service_s],
+            degraded_service_s: None,
         };
-        ServingEngine::new(cfg).expect("valid config").run()
+        let wl = WorkloadSpec::basic(offered, 4000, 1, 7);
+        let cfg = FleetConfig {
+            queue_capacity: 32,
+            ..FleetConfig::basic(vec![chip], Policy::RoundRobin, wl, 8.0 * service_s)
+        };
+        FleetSim::new(cfg).expect("valid config").run()
     };
     let rep_direct = serve(secs(direct));
     let rep_optimal = serve(secs(optimal));
