@@ -14,19 +14,29 @@
 //! addresses modulo 2^30, which covers every cache set bit and line
 //! offset. The computing-vs-computing pair is the control that proves it.
 //!
+//! The same arena makes every cell's `Stats` repeat exactly across
+//! processes and build profiles, so they are also pinned whole against
+//! `timing_only_exact.golden` beside this file: any change to `lv-sim`'s
+//! hot paths that moves a single counter fails here. Regenerate that file
+//! only together with a `TIMING_REV`/`KERNEL_REV` bump, by running
+//! `LV_GOLDEN_DUMP=1 cargo test -p lv-models --test timing_only_exact`.
+//!
 //! Runs as a plain binary (`harness = false`), so nothing else allocates
 //! while a run is in the arena.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use lv_conv::{prepare_weights, run_conv, Algo, ALL_ALGOS};
-use lv_sim::{Machine, MachineConfig, Stats};
+use lv_conv::{prepare_weights, run_conv, Algo, ALL_ALGOS, KERNEL_REV};
+use lv_sim::{Machine, MachineConfig, Stats, TIMING_REV};
 use lv_tensor::{pseudo_buf, pseudo_weights, ConvShape};
 
 const GIB: usize = 1 << 30;
 /// Runs per cell, one arena slot each.
 const SLOTS: usize = 3;
+/// One line per cell (config, algo, shape, whole `Stats`), under a header
+/// naming the revs the pins belong to.
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/timing_only_exact.golden");
 
 /// Bump allocator: while `CURSOR` is non-zero every allocation is carved
 /// from the arena and never freed; otherwise it defers to `System`.
@@ -161,6 +171,11 @@ fn main() {
 
     let mut cells = 0usize;
     let mut failures = Vec::new();
+    let mut pins = format!(
+        "# Whole-`Stats` pins of timing_only_exact.rs: config algo shape Stats.\n\
+         # Regenerate only with a TIMING_REV/KERNEL_REV bump (see the test's doc).\n\
+         TIMING_REV={TIMING_REV} KERNEL_REV={KERNEL_REV}\n"
+    );
     for s in &shapes {
         for algo in ALL_ALGOS.into_iter().filter(|a| a.applicable(s)) {
             for (name, cfg) in &configs {
@@ -179,8 +194,23 @@ fn main() {
                         algo.name()
                     ));
                 }
+                pins.push_str(&format!("{name} {} {s:?} {compute:?}\n", algo.name()));
                 cells += 1;
             }
+        }
+    }
+    if std::env::var_os("LV_GOLDEN_DUMP").is_some() {
+        std::fs::write(GOLDEN, &pins).expect("write the golden Stats list");
+        println!("wrote {cells} pins to {GOLDEN}");
+    } else {
+        let golden = std::fs::read_to_string(GOLDEN).expect("read the golden Stats list");
+        let (want, got): (Vec<&str>, Vec<&str>) =
+            (golden.lines().collect(), pins.lines().collect());
+        if want.len() != got.len() {
+            failures.push(format!("golden: {} lines pinned, {} produced", want.len(), got.len()));
+        }
+        for (w, g) in want.iter().zip(&got).filter(|(w, g)| w != g) {
+            failures.push(format!("golden:\n  pinned   {w}\n  produced {g}"));
         }
     }
     for f in &failures {

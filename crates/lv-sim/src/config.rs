@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::fastmodel::LINE_BYTES;
+
 /// How the vector processing unit is attached to the memory hierarchy.
 ///
 /// The paper evaluates both styles: Paper II simulates a *tightly integrated*
@@ -196,7 +198,9 @@ impl MachineConfig {
             if g.size_bytes == 0 || g.ways == 0 || g.line_bytes == 0 {
                 return Err(ConfigError::ZeroCache { level });
             }
-            if g.sets() == 0 || !g.line_bytes.is_power_of_two() {
+            // The machine's line walks count `LINE_BYTES` lines whatever
+            // the geometry says, so any other line size is mis-modelled.
+            if g.sets() == 0 || g.line_bytes as u64 != LINE_BYTES {
                 return Err(ConfigError::BadGeometry { level, geometry: *g });
             }
         }
@@ -282,8 +286,8 @@ pub enum ConfigError {
         /// Which level ("L1" / "L2").
         level: &'static str,
     },
-    /// Size/ways/line do not describe a real set-associative array
-    /// (zero sets, or a non-power-of-two line that breaks line indexing).
+    /// Size/ways/line do not describe an array the machine can model
+    /// (zero sets, or a line size other than the 64 bytes it walks).
     BadGeometry {
         /// Which level ("L1" / "L2").
         level: &'static str,
@@ -311,7 +315,7 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadGeometry { level, geometry } => write!(
                 f,
-                "{level} geometry {}B/{}-way/{}B-line does not form a set-associative array",
+                "{level} geometry {}B/{}-way/{}B-line: needs at least one set and 64-byte lines",
                 geometry.size_bytes, geometry.ways, geometry.line_bytes
             ),
             ConfigError::BadClock { freq_ghz } => {
@@ -466,6 +470,14 @@ mod tests {
             MachineConfig::builder().l1(bad).build(),
             Err(ConfigError::BadGeometry { level: "L1", .. })
         ));
+        // Power-of-two lines other than the 64 bytes the machine walks.
+        for line_bytes in [32, 128] {
+            let l2 = CacheGeometry { size_bytes: MIB, ways: 16, line_bytes };
+            assert_eq!(
+                MachineConfig::builder().l2(l2).build(),
+                Err(ConfigError::BadGeometry { level: "L2", geometry: l2 })
+            );
+        }
         assert!(MachineConfig::builder().freq_ghz(0.0).build().is_err());
         // Errors render a readable reason.
         let msg = ConfigError::BadLanes { lanes: 32, max: 16 }.to_string();

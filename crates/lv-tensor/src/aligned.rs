@@ -1,10 +1,13 @@
 //! Page-aligned f32 buffers.
 //!
 //! All tensors and kernel workspaces use 4096-byte-aligned allocations so
-//! that the simulator's cache-set mapping (which is derived from real host
-//! addresses) is reproducible across runs: with 64-set × 64 B-line L1
-//! geometry, the L1 set index of every element is fully determined by its
-//! offset within the buffer.
+//! that more of the simulator's cache-set mapping (which is derived from
+//! real host addresses) repeats across runs. Page alignment fixes the low
+//! 12 address bits of every element, which cover only set-index bits 6–11.
+//! The default L1 (64 KiB, 4-way, 64 B lines) has 256 sets, indexed by
+//! bits 6–13, and the L2 has more, so the upper set bits still follow the
+//! allocator. A deterministic simulated address space (ROADMAP item 1) is
+//! what removes that dependence.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::ops::{Deref, DerefMut};
